@@ -21,7 +21,7 @@ package turns that determinism into a serving layer:
   ``serve_forever`` loop (threaded connections, request deadlines,
   admission backpressure, graceful SIGTERM/SIGINT drain with
   documented exit codes, a crash-safe request journal, and a chaos
-  injection layer via ``REPRO_SERVICE_FAULTS``) and
+  injection layer via ``REPRO_FAULTS``) and
   :class:`ServiceClient` — connect/call timeouts, bounded retry with
   exponential backoff + jitter, transparent reconnect across server
   restarts, and a circuit breaker (:class:`CircuitOpenError`) that

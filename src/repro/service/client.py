@@ -55,7 +55,7 @@ either a structured fault *on a result* or a :class:`ServiceError`
 carrying a taxonomy fault — never a raw ``EOFError`` or a hang.
 
 **Chaos**: ``serve_forever(injector=...)`` (or the
-``REPRO_SERVICE_FAULTS`` env var, same grammar as the tuner's) applies
+``REPRO_FAULTS`` env var, same grammar as the tuner's) applies
 service-scoped injections keyed by request sequence number:
 ``drop-connection``, ``delay-response``, ``crash-server``,
 ``reject-admission``.  See ``docs/SERVICE.md``.
@@ -84,7 +84,6 @@ from ..obs.tracing import (
     tracing_enabled,
 )
 from ..tune.faults import (
-    SERVICE_FAULTS_ENV,
     Fault,
     FaultInjector,
     TimeoutFault,
@@ -430,11 +429,11 @@ def serve_forever(
     Signal handlers are only installed when running on the main
     thread (tests host the loop on a worker thread and stop it via
     the ``shutdown`` op instead).  ``injector`` (or the
-    ``REPRO_SERVICE_FAULTS`` env var) arms the service chaos harness.
+    ``REPRO_FAULTS`` env var) arms the service chaos harness.
     """
     socket_path = Path(socket_path)
     if injector is None:
-        injector = FaultInjector.from_env(SERVICE_FAULTS_ENV)
+        injector = FaultInjector.from_env()
     store = ArtifactStore(store_dir, max_bytes=max_bytes)
     journal = RequestJournal(store.root / "journal.json")
     server = CompileServer(

@@ -3,8 +3,10 @@
 Generalizes the tuner's cycle cache (:mod:`repro.tune.cache`) from
 "cycle counts only" to *any* compilation artifact: compiled assembly
 plus metadata, per-pass timings, tuned schedules, cycle measurements.
-The design carries over the durability lessons of that cache and adds
-content addressing:
+Every entry is a durable file (:mod:`repro.durable`; the contract is
+``docs/ROBUSTNESS.md``, "Durable files"), written under the store-wide
+``store.lock``.  On top of that contract the store adds content
+addressing:
 
 * **keys are content hashes** — an artifact is addressed by the sha256
   of exactly the inputs that determine it (for a compiled kernel: the
@@ -17,20 +19,14 @@ content addressing:
   artifact write identical bytes;
 * **integrity hashes verified on read** — every entry embeds the
   sha256 of its canonical payload JSON; a mismatch (torn write, bit
-  rot, hand edit) quarantines the file to ``<name>.corrupt`` and
-  reports a miss, never a wrong artifact;
-* **flock + atomic rename writes** — payloads are written to a
-  pid-tagged temp file, fsynced, and renamed into place under a
-  store-wide advisory lock, so a SIGKILL mid-write leaves at most a
-  stale temp file (cleaned up by the next writer), never a truncated
-  entry;
+  rot, hand edit) quarantines the file and reports a miss, never a
+  wrong artifact;
 * **LRU size cap** — ``max_bytes`` bounds the store; eviction removes
   least-recently-*used* entries (reads refresh an entry's mtime) and
   is accounted in :meth:`stats`.
 
-Failure semantics follow ``docs/ROBUSTNESS.md``: corruption is
-quarantined with a warning, never silently eaten, and a missing or
-unreadable store directory degrades to misses instead of raising.
+A missing or unreadable store directory degrades to misses instead of
+raising.
 """
 
 from __future__ import annotations
@@ -40,15 +36,16 @@ import json
 import os
 import threading
 import time
-import warnings
 from pathlib import Path
 
+from ..durable import (
+    atomic_write,
+    locked,
+    pid_alive,
+    quarantine,
+    sweep_stale_tmp,
+)
 from ..snitch.engine import ENGINE_VERSION
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 
 class StoreError(ValueError):
@@ -104,16 +101,6 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 class ArtifactStore:
     """Content-addressed (kind, key) -> JSON payload store (see
     module docstring).
@@ -154,31 +141,9 @@ class ArtifactStore:
             )
         return self.objects_dir / kind / key[:2] / f"{key}.json"
 
-    def _lock_path(self) -> Path:
-        return self.root / "store.lock"
-
-    def _flock(self):
-        """Advisory exclusive store lock (no-op without fcntl)."""
-
-        class _Lock:
-            def __init__(self, path: Path):
-                self.path = path
-                self.handle = None
-
-            def __enter__(self):
-                if fcntl is None:
-                    return self
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.handle = open(self.path, "w")
-                fcntl.flock(self.handle, fcntl.LOCK_EX)
-                return self
-
-            def __exit__(self, *exc):
-                if self.handle is not None:
-                    fcntl.flock(self.handle, fcntl.LOCK_UN)
-                    self.handle.close()
-
-        return _Lock(self._lock_path())
+    def _locked(self):
+        """The store-wide write lock."""
+        return locked(self.root / "store.lock")
 
     # -- core API -------------------------------------------------------------
 
@@ -193,8 +158,8 @@ class ArtifactStore:
 
         Identical (kind, key) pairs carry identical payloads by
         construction (the key is a content address), so overwrites are
-        idempotent.  The write is crash-safe: temp file + fsync +
-        atomic rename under the store lock.
+        idempotent.  The write is an atomic durable-file write under
+        the store lock.
         """
         if not isinstance(payload, dict):
             raise StoreError(
@@ -212,16 +177,11 @@ class ArtifactStore:
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
-        with self._flock():
-            with open(tmp, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(path)
+        with self._locked():
+            atomic_write(path, text)
         with self._lock:
             self.puts += 1
-        self._sweep_stale_tmp(path.parent)
+        sweep_stale_tmp(path.parent)
         if self.max_bytes is not None:
             self.gc(self.max_bytes)
         return path
@@ -265,40 +225,27 @@ class ArtifactStore:
         try:
             entry = json.loads(text)
         except ValueError:
-            self._quarantine(path, "undecodable JSON")
-            return None
-        if not isinstance(entry, dict):
-            self._quarantine(path, "not a JSON object")
-            return None
-        payload = entry.get("payload")
-        if (
-            entry.get("schema") != self.SCHEMA
-            or entry.get("kind") != kind
-            or entry.get("key") != key
-            or not isinstance(payload, dict)
-        ):
-            self._quarantine(path, "malformed entry structure")
-            return None
-        if entry.get("integrity") != _payload_digest(payload):
-            self._quarantine(path, "integrity hash mismatch")
-            return None
-        return payload
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        corrupt = path.with_suffix(path.suffix + ".corrupt")
-        try:
-            path.replace(corrupt)
-            where = str(corrupt)
-        except OSError:
-            where = "(quarantine rename failed; file left in place)"
+            reason = "undecodable JSON"
+        else:
+            if not isinstance(entry, dict):
+                reason = "not a JSON object"
+            elif (
+                entry.get("schema") != self.SCHEMA
+                or entry.get("kind") != kind
+                or entry.get("key") != key
+                or not isinstance(entry.get("payload"), dict)
+            ):
+                reason = "malformed entry structure"
+            elif entry.get("integrity") != _payload_digest(
+                entry["payload"]
+            ):
+                reason = "integrity hash mismatch"
+            else:
+                return entry["payload"]
         with self._lock:
             self.quarantined += 1
-        warnings.warn(
-            f"artifact {path.name} is corrupt ({reason}); "
-            f"quarantined to {where}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        quarantine(path, reason)
+        return None
 
     # -- maintenance ----------------------------------------------------------
 
@@ -315,28 +262,6 @@ class ArtifactStore:
             out.append((path, stat.st_size, stat.st_mtime))
         return out
 
-    def _sweep_stale_tmp(self, directory: Path) -> None:
-        """Remove pid-tagged temp files whose writer died (SIGKILL
-        mid-write); live writers' temps are left alone."""
-        try:
-            candidates = list(directory.glob("*.tmp"))
-        except OSError:
-            return
-        for tmp in candidates:
-            parts = tmp.name.rsplit(".", 2)
-            if len(parts) != 3 or parts[2] != "tmp":
-                continue
-            try:
-                pid = int(parts[1])
-            except ValueError:
-                continue
-            if pid == os.getpid() or _pid_alive(pid):
-                continue
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - raced away
-                pass
-
     def gc(self, max_bytes: int | None = None) -> dict:
         """Evict least-recently-used entries down to ``max_bytes``.
 
@@ -345,12 +270,12 @@ class ArtifactStore:
         (and no store-level cap) only sweeps temp files.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
-        with self._flock():
+        with self._locked():
             if self.objects_dir.is_dir():
                 for directory in {
                     p.parent for p in self.objects_dir.rglob("*.tmp")
                 }:
-                    self._sweep_stale_tmp(directory)
+                    sweep_stale_tmp(directory)
             entries = self._entries()
             total = sum(size for _, size, _ in entries)
             before = {"entries": len(entries), "bytes": total}
@@ -434,10 +359,10 @@ class RequestJournal:
     and clients can resubmit (completed keys come back as cheap store
     hits).
 
-    Durability follows the store's idioms: one JSON file, rewritten
-    via pid-tagged temp + fsync + atomic rename under an advisory
-    ``flock`` (``<path>.lock``), so a crash mid-journal-write leaves
-    the previous consistent state, never a truncated file.
+    The journal is one durable file (:mod:`repro.durable`; the
+    contract is ``docs/ROBUSTNESS.md``, "Durable files"), rewritten
+    under ``<path>.lock``, so a crash mid-journal-write leaves the
+    previous consistent state, never a truncated file.
     """
 
     SCHEMA = 1
@@ -446,64 +371,42 @@ class RequestJournal:
         self.path = Path(path)
         self._mutex = threading.Lock()
 
-    def _flock(self):
-        class _Lock:
-            def __init__(self, path: Path):
-                self.path = path
-                self.handle = None
-
-            def __enter__(self):
-                if fcntl is None:
-                    return self
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self.handle = open(self.path, "w")
-                fcntl.flock(self.handle, fcntl.LOCK_EX)
-                return self
-
-            def __exit__(self, *exc):
-                if self.handle is not None:
-                    fcntl.flock(self.handle, fcntl.LOCK_UN)
-                    self.handle.close()
-
-        return _Lock(self.path.with_suffix(self.path.suffix + ".lock"))
+    def _locked(self):
+        return locked(self.path.with_name(self.path.name + ".lock"))
 
     def _read(self) -> dict:
-        """Entry-id -> record; unreadable/corrupt journals degrade to
-        empty (the store's contract: never raise on bad durable
-        state)."""
+        """Entry-id -> record.  A missing journal reads as empty; a
+        corrupt one is quarantined, then reads as empty (never raise
+        on bad durable state, never silently eat it)."""
         try:
             data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
+        except OSError:
             return {}
+        except ValueError:
+            data = None
         if (
             not isinstance(data, dict)
             or data.get("schema") != self.SCHEMA
             or not isinstance(data.get("entries"), dict)
         ):
+            quarantine(self.path, "not a request journal")
             return {}
         return data["entries"]
 
     def _write(self, entries: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(
             {"schema": self.SCHEMA, "entries": entries},
             indent=2,
             sort_keys=True,
         ) + "\n"
-        tmp = self.path.with_suffix(
-            f"{self.path.suffix}.{os.getpid()}.tmp"
-        )
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp.replace(self.path)
+        atomic_write(self.path, text)
+        sweep_stale_tmp(self.path.parent, self.path.name + ".")
 
     def begin(self, kind: str, key: str, label: str = "") -> str:
         """Record one accepted-but-unfinished request; returns its
         entry id."""
         entry_id = f"{kind}/{key}"
-        with self._mutex, self._flock():
+        with self._mutex, self._locked():
             entries = self._read()
             entries[entry_id] = {
                 "kind": kind,
@@ -517,7 +420,7 @@ class RequestJournal:
 
     def finish(self, entry_id: str) -> None:
         """Drop a completed (persisted or faulted) request's entry."""
-        with self._mutex, self._flock():
+        with self._mutex, self._locked():
             entries = self._read()
             if entries.pop(entry_id, None) is not None:
                 self._write(entries)
@@ -528,18 +431,18 @@ class RequestJournal:
         An entry whose recorded pid is still alive belongs to a live
         server sharing the journal and is left alone.
         """
-        with self._mutex, self._flock():
+        with self._mutex, self._locked():
             entries = self._read()
             interrupted = [
                 record
                 for record in entries.values()
-                if not _pid_alive(record.get("pid", -1))
+                if not pid_alive(record.get("pid", -1))
             ]
             if interrupted:
                 survivors = {
                     entry_id: record
                     for entry_id, record in entries.items()
-                    if _pid_alive(record.get("pid", -1))
+                    if pid_alive(record.get("pid", -1))
                 }
                 self._write(survivors)
         return sorted(
@@ -547,8 +450,9 @@ class RequestJournal:
         )
 
     def pending(self) -> list[dict]:
-        """Current unfinished entries (no sweep, no mutation)."""
-        with self._mutex:
+        """Current unfinished entries (no sweep; a corrupt journal is
+        still quarantined, hence the lock)."""
+        with self._mutex, self._locked():
             return sorted(
                 self._read().values(),
                 key=lambda r: (r.get("kind", ""), r.get("key", "")),

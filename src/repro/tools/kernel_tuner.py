@@ -21,7 +21,7 @@ Evaluation is fault-tolerant (see ``docs/ROBUSTNESS.md``): with
 transient faults, respawns crashed workers, and SIGKILLs candidates
 past ``--deadline``; Ctrl-C or SIGTERM checkpoints the cache, saves
 the best-so-far schedule, and exits with a distinct code.  The
-``REPRO_TUNE_FAULTS`` environment variable installs a deterministic
+``REPRO_FAULTS`` environment variable installs a deterministic
 fault-injection plan (``ACTION@INDEX[=VALUE][:sticky]``; actions:
 crash, delay, raise, interrupt) for chaos drills.
 """

@@ -23,103 +23,34 @@ files (``null`` failures) migrate on load: the ``null`` becomes an
 timing-model change silently starts a fresh keyspace instead of
 serving stale cycles.
 
-Durability guarantees:
+The file is a durable file (:mod:`repro.durable`; the contract is
+``docs/ROBUSTNESS.md``, "Durable files"): a corrupt one is
+quarantined, and a save runs under the sidecar ``<path>.lock``.  On
+top of that contract:
 
-* **corruption is quarantined, never silently eaten** — an unreadable
-  file is renamed to ``<path>.corrupt`` with a warning, so the bytes
-  survive for inspection and the next save cannot clobber the only
-  evidence;
-* **merge-on-save** — ``save()`` takes an exclusive ``flock`` on a
-  sidecar lock file, re-reads the store, unions the on-disk entries
-  with this process's, fsyncs, and atomically renames.  Two tuner
-  processes sharing one store therefore *union* their work instead of
+* **merge-on-save** — ``save()`` re-reads the store under the lock and
+  unions the on-disk entries with this process's, so two tuner
+  processes sharing one store *union* their work instead of
   last-writer-wins clobbering;
 * **checkpointing** — with ``checkpoint_every=N`` the cache persists
   itself every N new measurements, so an interrupt loses at most one
-  batch of work;
-* **abnormal-exit hygiene** — pid-tagged temp files abandoned by a
-  SIGKILLed writer are swept on the next load/save (the embedded pid
-  proves ownership), and a leftover ``.lock`` file never blocks the
-  next run: the kernel releases a dead process's ``flock``
-  automatically.
+  batch of work.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
+from ..durable import atomic_write, locked, quarantine, sweep_stale_tmp
 from ..snitch.engine import ENGINE_VERSION
 from .faults import Fault, UnknownFault
 from .schedule import ScheduleConfig
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 #: Internal miss sentinel (a cached failure is a *hit* with a fault).
 _MISS = object()
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # someone else's live process
-        return True
-    except OSError:
-        return False
-    return True
-
-
-def _sweep_stale_tmp(path: Path) -> None:
-    """Remove abandoned ``<name>.<pid>.tmp`` siblings of ``path``.
-
-    A SIGKILLed (or OOM-killed) writer leaves its pid-tagged temp file
-    behind; since the pid names the owner, a dead pid proves the file
-    is garbage.  The sidecar ``.lock`` file needs no such sweep — the
-    kernel drops a dead process's ``flock`` automatically, so a
-    leftover lock file can never block the next run (and unlinking it
-    would race live lockers onto different inodes).
-    """
-    prefix = path.name + "."
-    try:
-        siblings = list(path.parent.iterdir())
-    except OSError:
-        return
-    for candidate in siblings:
-        name = candidate.name
-        if not (name.startswith(prefix) and name.endswith(".tmp")):
-            continue
-        pid_text = name[len(prefix) : -len(".tmp")]
-        if not pid_text.isdigit() or _pid_alive(int(pid_text)):
-            continue
-        try:
-            candidate.unlink()
-        except OSError:
-            pass
-
-
-@contextmanager
-def _exclusive_lock(path: Path):
-    """Advisory exclusive lock on ``<path>.lock`` (no-op sans fcntl)."""
-    if fcntl is None:
-        yield
-        return
-    lock_path = path.with_suffix(path.suffix + ".lock")
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
 
 
 def _parse_entries(payload) -> dict[str, int | Fault] | None:
@@ -190,39 +121,25 @@ class TuneCache:
         if self.path is not None:
             self._entries = self._load()
 
+    def _sweep(self) -> None:
+        sweep_stale_tmp(self.path.parent, self.path.name + ".")
+
     def _load(self) -> dict[str, int | Fault]:
-        _sweep_stale_tmp(self.path)
+        self._sweep()
         try:
-            text = self.path.read_text()
+            payload = json.loads(self.path.read_text())
         except OSError:
             return {}  # missing file: a fresh store
-        except ValueError:  # undecodable bytes: corrupt
-            self._quarantine()
-            return {}
-        try:
-            payload = json.loads(text)
-        except ValueError:
+        except ValueError:  # undecodable bytes or JSON
             payload = None
         entries = _parse_entries(payload)
         if entries is None:
-            self._quarantine()
+            quarantine(
+                self.path,
+                "not a tune cache; starting from an empty store",
+            )
             return {}
         return entries
-
-    def _quarantine(self) -> None:
-        """Set a corrupt store aside as ``<path>.corrupt`` + warn."""
-        corrupt = self.path.with_suffix(self.path.suffix + ".corrupt")
-        try:
-            self.path.replace(corrupt)
-            where = str(corrupt)
-        except OSError:
-            where = "(quarantine rename failed; file left in place)"
-        warnings.warn(
-            f"tune cache {self.path} is corrupt; quarantined to "
-            f"{where} and starting from an empty store",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
     @staticmethod
     def key(
@@ -287,8 +204,8 @@ class TuneCache:
         Concurrency-safe: under an exclusive file lock the current
         on-disk entries are re-read and unioned with this process's
         (ours win on key collisions — the oracle is deterministic, so
-        collisions agree anyway), then written through a
-        fsync + atomic-rename sequence.
+        collisions agree anyway), then written with
+        :func:`~repro.durable.atomic_write`.
         """
         if self.path is None:
             return
@@ -298,8 +215,7 @@ class TuneCache:
     def _save_locked(self) -> None:
         if not self._dirty:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _exclusive_lock(self.path):
+        with locked(self.path.with_name(self.path.name + ".lock")):
             # Merge-on-save: union entries another process persisted
             # since our load, instead of last-writer-wins clobbering.
             try:
@@ -319,23 +235,8 @@ class TuneCache:
                 for key, value in sorted(self._entries.items())
             }
             payload = {"schema": self.SCHEMA, "entries": serialized}
-            tmp = self.path.with_suffix(
-                f"{self.path.suffix}.{os.getpid()}.tmp"
-            )
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(payload, indent=2) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(self.path)
-            try:
-                dir_fd = os.open(self.path.parent, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-            except OSError:  # pragma: no cover - fs without dir fsync
-                pass
-            _sweep_stale_tmp(self.path)
+            atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
+            self._sweep()
         self._dirty = False
         self._puts_since_save = 0
 

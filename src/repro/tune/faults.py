@@ -29,8 +29,8 @@ chaos test suite drives: a :class:`FaultInjector` holds a plan of
 :class:`Injection` actions keyed by measurement sequence number —
 kill the worker (SIGKILL), delay a candidate past its deadline, raise
 mid-measure, corrupt cache bytes — installable per search
-(``tune_kernel(injector=...)``) or via the ``REPRO_TUNE_FAULTS``
-environment variable (the CLI/CI hook).
+(``tune_kernel(injector=...)``) or via the ``REPRO_FAULTS``
+environment variable (the CLI/CI hook, shared with the service).
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Environment variable the CLI consults for an injection plan.
-FAULTS_ENV = "REPRO_TUNE_FAULTS"
-
-#: Environment variable the *service* consults for an injection plan
-#: (same grammar, service-scoped actions; see ``SERVICE_ACTIONS``).
-SERVICE_FAULTS_ENV = "REPRO_SERVICE_FAULTS"
+#: Environment variable the tuner CLI and the service both consult for
+#: an injection plan; each picks out its own actions (``for_attempt``
+#: the tuner's, ``for_request`` the ``SERVICE_ACTIONS``).
+FAULTS_ENV = "REPRO_FAULTS"
 
 
 class InjectedError(RuntimeError):
@@ -394,8 +392,8 @@ class FaultInjector:
         return None
 
     @classmethod
-    def from_env(cls, var: str = FAULTS_ENV) -> "FaultInjector | None":
-        """Build an injector from ``REPRO_TUNE_FAULTS``, or None.
+    def from_env(cls) -> "FaultInjector | None":
+        """Build an injector from ``REPRO_FAULTS``, or None.
 
         Grammar (``;`` or ``,`` separated)::
 
@@ -403,7 +401,7 @@ class FaultInjector:
 
         e.g. ``crash@2;delay@1=0.5;raise@3:sticky``.
         """
-        text = os.environ.get(var, "").strip()
+        text = os.environ.get(FAULTS_ENV, "").strip()
         if not text:
             return None
         plan = []
@@ -428,7 +426,7 @@ class FaultInjector:
                 )
             except ValueError as error:
                 raise ValueError(
-                    f"bad {var} entry {part!r}: {error}"
+                    f"bad {FAULTS_ENV} entry {part!r}: {error}"
                 ) from None
         return cls(plan)
 
@@ -455,7 +453,6 @@ __all__ = [
     "FAULTS_ENV",
     "INJECTION_ACTIONS",
     "SERVICE_ACTIONS",
-    "SERVICE_FAULTS_ENV",
     "TUNE_ACTIONS",
     "CancelledFault",
     "CompileFault",

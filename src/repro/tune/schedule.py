@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Sequence
 import json
 
 from ..dialects import memref_stream
+from ..durable import atomic_write, sweep_stale_tmp
 from ..kernels.builders import KERNEL_BUILDERS
 from ..snitch.engine import ENGINE_VERSION
 from ..transforms.interchange import (
@@ -392,15 +393,15 @@ class TunedSchedule:
 
 
 def save_schedules(path, schedules: Sequence[TunedSchedule]) -> None:
-    """Write tuned schedules as a JSON artifact (atomic replace)."""
+    """Write tuned schedules as a JSON artifact (a durable file, see
+    :mod:`repro.durable`)."""
     payload = {
         "schema": 1,
         "schedules": [schedule.to_json() for schedule in schedules],
     }
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    tmp.replace(path)
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    sweep_stale_tmp(path.parent, path.name + ".")
 
 
 def load_schedules(path) -> list[TunedSchedule]:

@@ -30,7 +30,6 @@ result, after checkpointing the cache.
 
 from __future__ import annotations
 
-import os
 import signal
 import time
 from dataclasses import dataclass, field, replace
@@ -84,7 +83,7 @@ def _apply_injection(injection, serial: bool, deadline) -> None:
     """Enact one planned fault at the top of a measurement."""
     if injection.action == "crash":
         if not serial:  # belt: the injector never returns crash serially
-            os.kill(os.getpid(), signal.SIGKILL)
+            signal.raise_signal(signal.SIGKILL)
         return
     if injection.action == "delay":
         if serial and deadline is not None and injection.value >= deadline:

@@ -3,6 +3,7 @@ batch server, wire protocol, CLI, and the long-lived-process cache
 knobs (engine decode cache, network layer memo, tune-cache hygiene).
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -13,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import api, kernels
+from repro import api, durable, kernels
 from repro.compiler import CompiledKernel, Compiler
 from repro.kernels import lowlevel, networks
 from repro.kernels.builders import KERNEL_BUILDERS
 from repro.service import (
     ArtifactStore,
     CompileServer,
+    RequestJournal,
     ServiceClient,
     ServiceRequest,
     StoreError,
@@ -30,7 +32,11 @@ from repro.service.store import compile_key, content_key
 from repro.snitch import engine
 from repro.tools import kernel_service
 from repro.tune import TuneCache, evaluate_config, tune_kernel
-from repro.tune.schedule import ScheduleConfig
+from repro.tune.schedule import (
+    ScheduleConfig,
+    load_schedules,
+    save_schedules,
+)
 from repro.tune.workers import HardenedPool, PoolConfig
 
 #: Table 1 kernels at small, fast shapes.
@@ -670,37 +676,89 @@ class TestLayerMemo:
         assert first.total_cycles == second.total_cycles
 
 
-# -- tune cache hygiene (satellite 3) -------------------------------------------
+# -- durable-file hygiene, shared by every writer ------------------------------
 
 
-class TestTuneCacheCleanup:
-    def test_stale_lock_and_tmp_do_not_block_next_run(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = TuneCache(path)
-        cache.put(TuneCache.key("sum", (2, 4), ScheduleConfig()), 10)
-        cache.save()
+def _write_cache(directory: Path) -> Path:
+    path = directory / "cache.json"
+    cache = TuneCache(path)
+    key = TuneCache.key("sum", (2, 4), ScheduleConfig())
+    cache.put(key, 10)
+    cache.save()
+    hit, cycles, fault = TuneCache(path).lookup(key)
+    assert hit and cycles == 10 and fault is None
+    assert json.loads(path.read_text())["schema"] == 2
+    return path
+
+
+def _write_store(directory: Path) -> Path:
+    store = ArtifactStore(directory / "store")
+    key = content_key("durable")
+    path = store.put("kernel", key, {"asm": "nop"})
+    assert store.get("kernel", key) == {"asm": "nop"}
+    return path
+
+
+def _write_journal(directory: Path) -> Path:
+    journal = RequestJournal(directory / "journal.json")
+    journal.begin("kernel", "a" * 64)
+    assert [r["key"] for r in journal.pending()] == ["a" * 64]
+    return journal.path
+
+
+def _write_schedules(directory: Path) -> Path:
+    path = directory / "schedules.json"
+    save_schedules(path, [])
+    assert load_schedules(path) == []
+    return path
+
+
+#: Each writer writes (and reads back) one durable file, returning its
+#: path.  The lock sits beside the file, except the store's, which is
+#: store-wide.
+DURABLE_WRITERS = {
+    "cache": (_write_cache, "cache.json.lock"),
+    "store": (_write_store, "store/store.lock"),
+    "journal": (_write_journal, "journal.json.lock"),
+    "schedules": (_write_schedules, "schedules.json.lock"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(DURABLE_WRITERS))
+class TestDurableFileCleanup:
+    def test_stale_lock_and_tmp_do_not_block_next_run(
+        self, tmp_path, writer
+    ):
+        write, lock_name = DURABLE_WRITERS[writer]
+        path = write(tmp_path)
         # Simulate a SIGKILLed writer: leftover lock file + pid-tagged
         # temp from a process that no longer exists.
-        lock = tmp_path / "cache.json.lock"
+        lock = tmp_path / lock_name
         lock.write_text("")
-        stale = tmp_path / f"cache.json.{_dead_pid()}.tmp"
+        stale = path.with_name(f"{path.name}.{_dead_pid()}.tmp")
         stale.write_text('{"half": ')
-        fresh = TuneCache(path)  # must not block or raise
-        hit, cycles, fault = fresh.lookup(
-            TuneCache.key("sum", (2, 4), ScheduleConfig())
-        )
-        assert hit and cycles == 10 and fault is None
-        assert not stale.exists()  # swept on load
-        fresh.put(TuneCache.key("sum", (2, 5), ScheduleConfig()), 11)
-        fresh.save()  # must not block on the leftover lock file
-        assert json.loads(path.read_text())["schema"] == 2
+        write(tmp_path)  # must not block on the leftover lock file
+        assert not stale.exists()  # swept by the writer
+        assert lock.exists()
 
-    def test_live_writer_tmp_left_alone(self, tmp_path):
-        path = tmp_path / "cache.json"
-        mine = tmp_path / f"cache.json.{os.getpid()}.tmp"
-        mine.write_text("in progress")
-        TuneCache(path)
-        assert mine.exists()
+    def test_live_writer_tmp_left_alone(self, tmp_path, writer):
+        write, lock_name = DURABLE_WRITERS[writer]
+        path = write(tmp_path)
+        live = path.with_name(f"{path.name}.{os.getppid()}.tmp")
+        live.write_text("in progress")
+        write(tmp_path)
+        assert live.read_text() == "in progress"
+
+
+def test_pid_alive_answers_alive_when_unsure(monkeypatch):
+    """An unexpected probe error must not get a live writer's temp
+    file swept."""
+
+    def kill(pid, sig):
+        raise OSError(errno.EINVAL, "unexpected")
+
+    monkeypatch.setattr(durable.os, "kill", kill)
+    assert durable.pid_alive(12345)
 
 
 # -- tuner store integration ----------------------------------------------------

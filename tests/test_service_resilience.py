@@ -1,7 +1,7 @@
 """Resilient service lifecycle tests: request deadlines, admission
 backpressure, client retry + circuit breaker, graceful drain, the
 crash-safe request journal, and service-level chaos (the
-``REPRO_SERVICE_FAULTS`` injection layer).
+``REPRO_FAULTS`` injection layer).
 
 The drills at the bottom are the headline guarantees: a kill -9'd
 server restarts cleanly (stale socket cleared, journal swept, zero
@@ -41,9 +41,9 @@ from repro.service import (
 from repro.service.client import _clear_stale_socket
 from repro.service.server import request_key
 from repro.tune.faults import (
+    FAULTS_ENV,
     FAULT_KINDS,
     SERVICE_ACTIONS,
-    SERVICE_FAULTS_ENV,
     FaultInjector,
     Injection,
 )
@@ -380,8 +380,11 @@ class TestRequestJournal:
     def test_corrupt_journal_degrades_to_empty(self, tmp_path):
         journal = RequestJournal(tmp_path / "journal.json")
         journal.path.write_text("{not json")
-        assert journal.pending() == []
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert journal.pending() == []
         assert journal.sweep() == []
+        corrupt = tmp_path / "journal.json.corrupt"
+        assert corrupt.read_text() == "{not json"
 
     def test_server_reports_interrupted_on_restart(self, tmp_path):
         journal = RequestJournal(tmp_path / "journal.json")
@@ -432,11 +435,11 @@ class TestRequestJournal:
 class TestServiceInjection:
     def test_env_grammar_parses_service_actions(self, monkeypatch):
         monkeypatch.setenv(
-            SERVICE_FAULTS_ENV,
+            FAULTS_ENV,
             "reject-admission@0;delay-response@1=0.05;"
             "drop-connection@2;crash-server@3",
         )
-        injector = FaultInjector.from_env(SERVICE_FAULTS_ENV)
+        injector = FaultInjector.from_env()
         assert injector.for_request(0).action == "reject-admission"
         assert injector.for_request(1).value == 0.05
         assert injector.for_request(3).action == "crash-server"

@@ -114,7 +114,7 @@ class TestFaultTaxonomy:
 class TestInjectionPlans:
     def test_from_env_grammar(self, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_TUNE_FAULTS", "crash@2; delay@1=0.5, raise@3:sticky"
+            "REPRO_FAULTS", "crash@2; delay@1=0.5, raise@3:sticky"
         )
         injector = FaultInjector.from_env()
         assert injector.plan == (
@@ -124,11 +124,11 @@ class TestInjectionPlans:
         )
 
     def test_from_env_absent(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TUNE_FAULTS", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert FaultInjector.from_env() is None
 
     def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "explode@1")
+        monkeypatch.setenv("REPRO_FAULTS", "explode@1")
         with pytest.raises(ValueError, match="explode"):
             FaultInjector.from_env()
 
@@ -458,7 +458,7 @@ class TestInjectedSearch:
 
 class TestTunerCLIExitCodes:
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "interrupt@2")
+        monkeypatch.setenv("REPRO_FAULTS", "interrupt@2")
         code = kernel_tuner.main(
             ["matmul", "4", "4", "4", "--cache", str(tmp_path / "c.json")]
         )
@@ -468,7 +468,7 @@ class TestTunerCLIExitCodes:
         assert "partial" in captured.out  # best-so-far report printed
 
     def test_no_baseline_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TUNE_FAULTS", "raise@0:sticky")
+        monkeypatch.setenv("REPRO_FAULTS", "raise@0:sticky")
         code = kernel_tuner.main(
             ["matmul", "4", "4", "4", "--cache", str(tmp_path / "c.json")]
         )
