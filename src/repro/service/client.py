@@ -306,45 +306,34 @@ def _dispatch(
                 stack.enter_context(correlation(corr_id))
                 if message.get("trace"):
                     recorder = stack.enter_context(recording())
-                if op == "submit":
-                    request = ServiceRequest.from_json(
-                        message["request"]
-                    )
-                    if (
-                        injection is not None
-                        and injection.action == "reject-admission"
-                    ):
-                        result = server.reject(request)
-                    else:
-                        result = server.submit(
-                            request, deadline=deadline
-                        )
-                    reply = {"ok": True, "result": result.to_json()}
-                    _log_served(op, [result])
-                else:
-                    requests = [
-                        ServiceRequest.from_json(entry)
-                        for entry in message.get("requests", [])
+                entries = (
+                    [message["request"]]
+                    if op == "submit"
+                    else message.get("requests", [])
+                )
+                requests = [
+                    ServiceRequest.from_json(entry) for entry in entries
+                ]
+                if (
+                    injection is not None
+                    and injection.action == "reject-admission"
+                ):
+                    results = [
+                        server.reject(request) for request in requests
                     ]
-                    if (
-                        injection is not None
-                        and injection.action == "reject-admission"
-                    ):
-                        results = [
-                            server.reject(request)
-                            for request in requests
-                        ]
-                    else:
-                        results = server.batch(
-                            requests, deadline=deadline
-                        )
-                    reply = {
-                        "ok": True,
-                        "results": [
-                            result.to_json() for result in results
-                        ],
-                    }
-                    _log_served(op, results)
+                elif op == "submit":
+                    results = [
+                        server.submit(requests[0], deadline=deadline)
+                    ]
+                else:
+                    results = server.batch(requests, deadline=deadline)
+                _log_served(op, results)
+            shaped = [result.to_json() for result in results]
+            reply = (
+                {"ok": True, "result": shaped[0]}
+                if op == "submit"
+                else {"ok": True, "results": shaped}
+            )
             if recorder is not None:
                 reply["spans"] = recorder.events_json()
             if (

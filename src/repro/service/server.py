@@ -21,11 +21,13 @@ measure a schedule config's cycles — and resolution is store-first:
    never as exceptions — a batch always returns one result per
    request.
 
-The server is thread-safe: concurrent :meth:`submit` calls from many
-threads share in-flight work and serialize on the worker pool.
-:meth:`stats` reports traffic, dedup counts, fault histograms, pool
-events, and the sizes of the process-wide caches a long-lived server
-must keep bounded (the engine decode cache, the network layer memo).
+:meth:`submit` is a batch of one: it takes exactly the steps above,
+through the same code as :meth:`batch`.  The server is thread-safe:
+concurrent calls from many threads share in-flight work and serialize
+on the worker pool.  :meth:`stats` reports traffic, dedup counts,
+fault histograms, pool events, and the sizes of the process-wide
+caches a long-lived server must keep in view (the engine decode
+cache, the network layer memo).
 """
 
 from __future__ import annotations
@@ -563,8 +565,7 @@ class CompileServer:
         request: ServiceRequest,
         deadline: float | None = None,
     ) -> ServiceResult:
-        """Resolve one request (admission -> store -> in-flight join
-        -> compute).
+        """Resolve one request: a batch of one (see :meth:`batch`).
 
         Thread-safe and single-flight: if another thread is already
         computing the same content address, this call waits for that
@@ -576,183 +577,10 @@ class CompileServer:
         in-flight high-water mark or draining, the request is refused
         with a retryable structured fault, never queued unboundedly.
         """
-        t0 = time.monotonic()
-        self._count("requests")
-        budget = (
-            self.request_deadline if deadline is None else deadline
+        [result] = self._serve(
+            [request], deadline, "server.submit", label=request.label()
         )
-        reason = self._admit(1)
-        if reason is not None:
-            return self._finish(self._refuse(request, reason, t0))
-        try:
-            with span("server.submit", label=request.label()):
-                result = self._resolve(request, t0, budget)
-        finally:
-            self._release(1)
-        return self._finish(self._enforce_deadline(result, budget))
-
-    def _resolve(
-        self,
-        request: ServiceRequest,
-        t0: float,
-        budget: float | None,
-    ) -> ServiceResult:
-        deadline_at = t0 + budget if budget is not None else None
-        try:
-            kind, key = request_key(request)
-        except Exception as error:
-            return self._fail(request, error, "prepare", t0)
-        payload = self.store.get(kind, key)
-        if payload is not None:
-            self._count("store_hits")
-            return ServiceResult(
-                request=request,
-                artifact_kind=kind,
-                key=key,
-                payload=payload,
-                fault=None,
-                source="store",
-                latency=time.monotonic() - t0,
-            )
-        record, owner = self._claim((kind, key))
-        if not owner:
-            wait_budget = (
-                max(0.0, deadline_at - time.monotonic())
-                if deadline_at is not None
-                else None
-            )
-            if not record.event.wait(wait_budget):
-                fault = TimeoutFault(
-                    message=(
-                        "request deadline expired while waiting on "
-                        "another caller's in-flight computation"
-                    ),
-                    candidate=request.label(),
-                    stage="request",
-                )
-                self._record_fault(fault)
-                self._count("deadline_expired")
-                return ServiceResult(
-                    request=request,
-                    artifact_kind=kind,
-                    key=key,
-                    payload=None,
-                    fault=fault,
-                    source="failed",
-                    latency=time.monotonic() - t0,
-                )
-            self._count("joined_inflight")
-            shared = record.result
-            if shared is None:  # owner died without publishing
-                return self._fail(
-                    request,
-                    RuntimeError(
-                        "in-flight computation vanished without a "
-                        "result"
-                    ),
-                    "prepare",
-                    t0,
-                    kind,
-                    key,
-                )
-            result = _replace(
-                shared,
-                request=request,
-                source=(
-                    "inflight" if shared.ok else shared.source
-                ),
-                latency=time.monotonic() - t0,
-            )
-            if shared.fault is not None:
-                self._record_fault(shared.fault)
-            return result
-        result: ServiceResult | None = None
-        try:
-            result = self._compute(request, kind, key, t0, deadline_at)
-        finally:
-            record.result = result
-            with self._mutex:
-                self._inflight.pop((kind, key), None)
-            record.event.set()
         return result
-
-    def _claim(
-        self, key: tuple[str, str]
-    ) -> tuple[_InFlight, bool]:
-        with self._mutex:
-            record = self._inflight.get(key)
-            if record is not None:
-                return record, False
-            record = _InFlight()
-            self._inflight[key] = record
-            return record, True
-
-    @staticmethod
-    def _pop_spans(payload):
-        """Strip (and re-emit) worker spans smuggled in an artifact —
-        they must never be persisted to the content-addressed store."""
-        if isinstance(payload, dict):
-            absorb(payload.pop("__spans__", None))
-        return payload
-
-    def _compute(
-        self,
-        request: ServiceRequest,
-        kind: str,
-        key: str,
-        t0: float,
-        deadline_at: float | None = None,
-    ) -> ServiceResult:
-        """Run one job on the pool and persist its artifact.
-
-        The job is journalled while in flight (when the server has a
-        journal): a server killed here leaves a record a restarted
-        server sweeps and reports.
-        """
-        task_payload = {
-            "request": request.to_json(),
-            "deadline": self._job_deadline(deadline_at),
-            "trace": tracing_enabled(),
-            "corr_id": correlation_id(),
-        }
-        entry_id = (
-            self.journal.begin(kind, key, request.label())
-            if self.journal is not None
-            else None
-        )
-        try:
-            with self._pool_mutex:
-                [(payload, fault_json)] = self.pool.map(
-                    [(0, request.label(), task_payload)]
-                )
-            payload = self._pop_spans(payload)
-            if fault_json is None:
-                self.store.put(kind, key, payload)
-        finally:
-            if entry_id is not None:
-                self.journal.finish(entry_id)
-        if fault_json is not None:
-            fault = Fault.from_json(fault_json)
-            self._record_fault(fault)
-            return ServiceResult(
-                request=request,
-                artifact_kind=kind,
-                key=key,
-                payload=None,
-                fault=fault,
-                source="failed",
-                latency=time.monotonic() - t0,
-            )
-        self._count("computed")
-        return ServiceResult(
-            request=request,
-            artifact_kind=kind,
-            key=key,
-            payload=payload,
-            fault=None,
-            source="computed",
-            latency=time.monotonic() - t0,
-        )
 
     def batch(
         self,
@@ -775,6 +603,19 @@ class CompileServer:
         retryable faults, and each result is checked against the
         budget on completion.
         """
+        return self._serve(
+            requests, deadline, "server.batch", size=len(requests)
+        )
+
+    def _serve(
+        self,
+        requests: list[ServiceRequest],
+        deadline: float | None,
+        span_name: str,
+        **attrs,
+    ) -> list[ServiceResult]:
+        """Admit, resolve and finish ``requests`` (admission ->
+        store -> in-flight join -> compute), one result each."""
         t0 = time.monotonic()
         self._count("requests", len(requests))
         if not requests:
@@ -789,7 +630,7 @@ class CompileServer:
                 for request in requests
             ]
         try:
-            with span("server.batch", size=len(requests)):
+            with span(span_name, **attrs):
                 results = self._resolve_batch(requests, t0, budget)
         finally:
             self._release(len(requests))
@@ -797,6 +638,25 @@ class CompileServer:
             self._finish(self._enforce_deadline(result, budget))
             for result in results
         ]
+
+    def _claim(
+        self, key: tuple[str, str]
+    ) -> tuple[_InFlight, bool]:
+        with self._mutex:
+            record = self._inflight.get(key)
+            if record is not None:
+                return record, False
+            record = _InFlight()
+            self._inflight[key] = record
+            return record, True
+
+    @staticmethod
+    def _pop_spans(payload):
+        """Strip (and re-emit) worker spans smuggled in an artifact —
+        they must never be persisted to the content-addressed store."""
+        if isinstance(payload, dict):
+            absorb(payload.pop("__spans__", None))
+        return payload
 
     def _resolve_batch(
         self,
@@ -808,17 +668,15 @@ class CompileServer:
         results: list[ServiceResult | None] = [None] * len(requests)
         #: (kind, key) -> positions in the batch that want it.
         wanted: dict[tuple[str, str], list[int]] = {}
-        keyed: dict[tuple[str, str], ServiceRequest] = {}
         for pos, request in enumerate(requests):
             try:
-                kind, key = request_key(request)
+                kk = request_key(request)
             except Exception as error:
                 results[pos] = self._fail(
                     request, error, "prepare", t0
                 )
                 continue
-            wanted.setdefault((kind, key), []).append(pos)
-            keyed.setdefault((kind, key), request)
+            wanted.setdefault(kk, []).append(pos)
         duplicate_count = sum(
             len(slots) - 1 for slots in wanted.values()
         )
@@ -845,19 +703,19 @@ class CompileServer:
                 )
 
         # Claim misses; keys in flight elsewhere are awaited below.
-        owned: list[tuple[str, str]] = []
+        owned: dict[tuple[str, str], _InFlight] = {}
         awaited: list[tuple[tuple[str, str], _InFlight]] = []
         for kk in misses:
             record, owner = self._claim(kk)
             if owner:
-                owned.append(kk)
+                owned[kk] = record
             else:
                 awaited.append((kk, record))
 
         # Fan owned jobs out across the pool in one map.  Each owned
         # job is journalled while in flight: a server killed here
-        # leaves per-key records the restarted server sweeps.
-        records = {kk: self._inflight[kk] for kk in owned}
+        # leaves per-key records the restarted server sweeps.  Every
+        # slot wanting an owned key is filled as its outcome lands.
         journal_ids: list[str] = []
         try:
             tasks = []
@@ -865,7 +723,7 @@ class CompileServer:
             trace = tracing_enabled()
             corr_id = correlation_id()
             for seq, (kind, key) in enumerate(owned):
-                request = keyed[(kind, key)]
+                request = requests[wanted[(kind, key)][0]]
                 if self.journal is not None:
                     journal_ids.append(
                         self.journal.begin(kind, key, request.label())
@@ -890,84 +748,74 @@ class CompileServer:
             for (kind, key), (payload, fault_json) in zip(
                 owned, outcomes
             ):
-                elapsed = time.monotonic() - t0
+                first, *duplicates = wanted[(kind, key)]
                 if fault_json is not None:
                     fault = Fault.from_json(fault_json)
                     self._record_fault(fault)
-                    result = ServiceResult(
-                        request=keyed[(kind, key)],
-                        artifact_kind=kind,
-                        key=key,
-                        payload=None,
-                        fault=fault,
-                        source="failed",
-                        latency=elapsed,
-                    )
+                    payload = None
+                    source = "failed"
                 else:
+                    fault = None
                     payload = self._pop_spans(payload)
                     self.store.put(kind, key, payload)
                     self._count("computed")
-                    result = ServiceResult(
-                        request=keyed[(kind, key)],
-                        artifact_kind=kind,
-                        key=key,
-                        payload=payload,
-                        fault=None,
-                        source="computed",
-                        latency=elapsed,
-                    )
-                records[(kind, key)].result = result
+                    source = "computed"
+                result = ServiceResult(
+                    request=requests[first],
+                    artifact_kind=kind,
+                    key=key,
+                    payload=payload,
+                    fault=fault,
+                    source=source,
+                    latency=time.monotonic() - t0,
+                )
+                owned[(kind, key)].result = results[first] = result
+                for pos in duplicates:
+                    results[pos] = _replace(result, request=requests[pos])
         finally:
             for entry_id in journal_ids:
                 self.journal.finish(entry_id)
             with self._mutex:
                 for kk in owned:
                     self._inflight.pop(kk, None)
-            for kk in owned:
-                records[kk].event.set()
+            for record in owned.values():
+                record.event.set()
 
-        # Fill remaining slots: owned results (shared by duplicate
-        # slots in this batch) and keys awaited from other threads.
-        joined = dict(awaited)
-        for (kind, key), slots in wanted.items():
-            if results[slots[0]] is not None:
+        # Join keys another thread is computing (after publishing our
+        # own, so two batches awaiting each other cannot deadlock).
+        for (kind, key), record in awaited:
+            slots = wanted[(kind, key)]
+            wait_budget = (
+                max(0.0, deadline_at - time.monotonic())
+                if deadline_at is not None
+                else None
+            )
+            if not record.event.wait(wait_budget):
+                for pos in slots:
+                    fault = TimeoutFault(
+                        message=(
+                            "request deadline expired while waiting "
+                            "on another caller's in-flight computation"
+                        ),
+                        candidate=requests[pos].label(),
+                        stage="request",
+                    )
+                    self._record_fault(fault)
+                    self._count("deadline_expired")
+                    results[pos] = ServiceResult(
+                        request=requests[pos],
+                        artifact_kind=kind,
+                        key=key,
+                        payload=None,
+                        fault=fault,
+                        source="failed",
+                        latency=time.monotonic() - t0,
+                    )
                 continue
-            record = records.get((kind, key))
-            from_other_thread = record is None
-            if from_other_thread:
-                record = joined[(kind, key)]
-                wait_budget = (
-                    max(0.0, deadline_at - time.monotonic())
-                    if deadline_at is not None
-                    else None
-                )
-                if not record.event.wait(wait_budget):
-                    for pos in slots:
-                        fault = TimeoutFault(
-                            message=(
-                                "request deadline expired while "
-                                "waiting on another caller's "
-                                "in-flight computation"
-                            ),
-                            candidate=requests[pos].label(),
-                            stage="request",
-                        )
-                        self._record_fault(fault)
-                        self._count("deadline_expired")
-                        results[pos] = ServiceResult(
-                            request=requests[pos],
-                            artifact_kind=kind,
-                            key=key,
-                            payload=None,
-                            fault=fault,
-                            source="failed",
-                            latency=time.monotonic() - t0,
-                        )
-                    continue
-                self._count("joined_inflight", len(slots))
+            self._count("joined_inflight", len(slots))
             shared = record.result
             for pos in slots:
-                if shared is None:
+                if shared is None:  # owner died without publishing
                     results[pos] = self._fail(
                         requests[pos],
                         RuntimeError(
@@ -980,30 +828,14 @@ class CompileServer:
                         key,
                     )
                     continue
-                if shared.request is requests[pos]:
-                    continue  # the owned slot already holds it
+                if shared.fault is not None:
+                    self._record_fault(shared.fault)
                 results[pos] = _replace(
                     shared,
                     request=requests[pos],
-                    source=(
-                        "inflight"
-                        if shared.ok and from_other_thread
-                        else shared.source
-                    ),
+                    source="inflight" if shared.ok else shared.source,
                     latency=time.monotonic() - t0,
                 )
-                if shared.fault is not None and from_other_thread:
-                    self._record_fault(shared.fault)
-        for pos, result in enumerate(results):
-            if result is None:  # owned slot: take the shared result
-                shared = records[
-                    next(
-                        kk
-                        for kk, slots in wanted.items()
-                        if pos in slots
-                    )
-                ].result
-                results[pos] = shared
         return results  # type: ignore[return-value]
 
     # -- introspection --------------------------------------------------------
@@ -1041,7 +873,6 @@ class CompileServer:
             },
             "caches": {
                 "decode_programs": engine.decode_cache_size(),
-                "decode_limit": engine.decode_cache_limit(),
                 "layer_memo": networks.layer_cache_size(),
                 "layer_memo_limit": networks.layer_cache_limit(),
             },
